@@ -3,9 +3,9 @@
 
     For each design we record one replay trace (so stimulus generation is
     excluded, the §5.1 methodology), then measure ns/cycle for each backend
-    replaying that same trace: the interpreter, the retired closure/Bv
-    reference tape (plain and activity-driven), and the word-level engine
-    (plain as "compiled", activity-driven as "essent"). Coverage counts are
+    replaying that same trace: the interpreter, the word-level engine
+    (plain as "compiled", activity-driven as "essent") and the lane engine
+    in lockstep. Coverage counts are
     cross-checked across all backends before timing — a backend that
     disagrees with the interpreter is a correctness bug, not a data point.
 
@@ -18,8 +18,6 @@ open Sic_sim
 let backends : (string * (Sic_ir.Circuit.t -> Backend.t)) list =
   [
     ("interp", Interp.create);
-    ("ref-tape", fun c -> Ref_tape.create c);
-    ("ref-tape-activity", fun c -> Ref_tape.create ~activity:true c);
     ("compiled", fun c -> Compiled.create c);
     ("essent", Essent.create);
     (* the bit-parallel engine driven in lockstep: all 62 lanes replay the
@@ -35,14 +33,6 @@ let counts_of create low trace =
   Replay.replay b trace;
   b.Backend.counts ()
 
-let median xs =
-  match List.sort compare xs with
-  | [] -> nan
-  | s ->
-      let n = List.length s in
-      let a = List.nth s ((n - 1) / 2) and b = List.nth s (n / 2) in
-      (a +. b) /. 2.0
-
 let run () =
   let smoke = Sys.getenv_opt "SIC_BENCH_SMOKE" <> None in
   let cycles = if smoke then 100 else 2_000 in
@@ -52,7 +42,6 @@ let run () =
        (if smoke then ", smoke" else ""));
   Timing.row "%-14s %-18s %12s\n" "Design" "Backend" "ns/cycle";
   let results = ref [] in
-  let speedups = ref [] in
   List.iter
     (fun (name, _, _, build) ->
       let c, trace = build ~cycles in
@@ -80,16 +69,8 @@ let run () =
             (bname, ns_cycle))
           backends
       in
-      results := (name, per_backend) :: !results;
-      (match (List.assoc_opt "ref-tape" per_backend, List.assoc_opt "compiled" per_backend) with
-      | Some old_ns, Some new_ns when new_ns > 0.0 ->
-          let s = old_ns /. new_ns in
-          speedups := s :: !speedups;
-          Timing.row "%-14s %-18s %11.2fx\n" name "word-level speedup" s
-      | _ -> ()))
+      results := (name, per_backend) :: !results)
     Workloads.table2_set;
-  let med = median !speedups in
-  Timing.row "\nmedian word-level speedup over the Bv reference tape: %.2fx\n" med;
   (* --- the lane engine: 62 independent seeds per tape pass ------------- *)
   (* Replay can't exercise independent lanes (a trace is one stimulus
      stream), so this section measures the real workload both ways: random
@@ -253,7 +234,7 @@ let run () =
         failwith
           (Printf.sprintf "sim bench: sampled profiler overhead %.3fx exceeds gate"
              (prof_ratio "profile-sampled")));
-  (* BENCH_sim.json: flat record list plus the headline median *)
+  (* BENCH_sim.json: flat record list of absolute ns/cycle per backend *)
   let oc = open_out "BENCH_sim.json" in
   Printf.fprintf oc "{\n  \"cycles\": %d,\n  \"smoke\": %b,\n  \"results\": [\n" cycles smoke;
   let rows =
@@ -267,7 +248,7 @@ let run () =
       (List.rev !results)
   in
   output_string oc (String.concat ",\n" rows);
-  Printf.fprintf oc "\n  ],\n  \"median_speedup_vs_ref_tape\": %.3f" med;
+  Printf.fprintf oc "\n  ]";
   (match prof_results with
   | [] -> ()
   | _ ->

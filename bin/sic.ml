@@ -305,8 +305,11 @@ let handle_errors f =
   | Sic_ir.Circuit.Elaboration_error m | Backend.Sim_error m ->
       Printf.eprintf "error: %s\n" m;
       exit 1
-  | Db.Db_error m | Sic_coverage.Counts.Bad_format m | Profile.Bad_format m ->
+  | Db.Db_error m ->
       Printf.eprintf "error: %s\n" m;
+      exit 1
+  | Sic_coverage.Artifact.Error e ->
+      Printf.eprintf "error: %s\n" (Sic_coverage.Artifact.message e);
       exit 1
 
 let emit_cmd =

@@ -20,6 +20,9 @@ dune exec --no-build bin/sic.exe -- campaign --db ci_campaign.db -j 2 \
   --progress --trace ci_trace.json \
   --design counter --design gcd --backend compiled --seeds 1 --cycles 300
 dune exec --no-build test/cli/check_trace.exe -- ci_trace.json 3
+# artifacts are saved through a temp file renamed over the target: none
+# may be left behind
+test -z "$(find ci_campaign.db -name '*.tmp*')"
 rm -rf ci_campaign.db
 
 # Coverage-closure smoke: the formal <-> fuzz loop on the closure fixture
@@ -34,6 +37,7 @@ dune exec --no-build bin/sic.exe -- close --db ci_close.db --design closefix \
 dune exec --no-build bin/sic.exe -- db report ci_close.db | grep -q 'proven unreachable'
 dune exec --no-build bin/sic.exe -- db rank ci_close.db --json | grep -q '"uncovered":\[\]'
 SIC_BENCH_SMOKE=1 dune exec --no-build bench/main.exe -- close
+test -z "$(find ci_close.db -name '*.tmp*')"
 rm -rf ci_close.db
 
 # Simulation throughput smoke: tiny traces and measurement quota, but the

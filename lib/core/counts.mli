@@ -55,19 +55,16 @@ val render_diff : diff -> string
 
 (** {1 Interchange format}
 
-    One line per point: [<count> <name>]; [#] starts a comment. The first
-    line written is always the versioned header
-    [# sic coverage counts v1]; a reader encountering any other
-    [# sic coverage counts vN] line raises {!Bad_format} instead of
-    skipping it as a comment, so files from an incompatible future format
-    fail loudly. *)
+    One line per point: [<count> <name>]. The first line written is
+    always the versioned header [# sic coverage counts v1]; readers
+    follow the {!Artifact} rules (another version is rejected, [#]
+    comments are skipped) and raise {!Artifact.Error} with the offending
+    line, e.g. ["line 3: bad count in \"x y\""]. The header is optional
+    on input. *)
 
-exception Bad_format of string
-(** The message names the offending line number, e.g.
-    ["line 3: bad count in \"x y\""]. *)
-
-val output : out_channel -> t -> unit
 val save : string -> t -> unit
+(** Atomic: {!Artifact.save}. *)
+
 val to_string : t -> string
 val of_string : string -> t
 val load : string -> t

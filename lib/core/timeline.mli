@@ -33,17 +33,14 @@ val build : ?total:int -> builder -> t
 
 (** {1 Interchange format}
 
-    Line-oriented text: the versioned [# sic coverage timeline v1] header,
-    a [total N] line, then one [<at> <covered>] line per sample. [#]
-    comments and blank lines are ignored; an unknown [# sic coverage
-    timeline vN] header raises {!Bad_format} instead of being skipped. *)
-
-exception Bad_format of string
-(** Carries a [line N:] prefix locating the offending line. *)
+    Line-oriented text: the versioned [# sic coverage timeline v1]
+    header, a [total N] line, then one [<at> <covered>] line per sample.
+    The {!Artifact} rules apply ([#] comments and blank lines are skipped,
+    another version is rejected); the header is required. Errors raise
+    {!Artifact.Error}. *)
 
 val to_string : t -> string
 val of_string : string -> t
-val output : out_channel -> t -> unit
 val save : string -> t -> unit
 val load : string -> t
 

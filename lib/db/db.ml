@@ -230,6 +230,30 @@ let append_to path (j : Json.t) =
 
 let append_line dir (j : Json.t) = append_to (manifest_path dir) j
 
+(* The NDJSON artifacts (manifest, exclusions): a meta record naming the
+   format and its version, then one JSON record per line. Returns each
+   record decoded by [decode lineno json] (blank lines are skipped), or
+   [None] for an empty file. Decoding as each line parses keeps the JSON
+   trees short-lived. *)
+let read_ndjson path ~what ~format ~version (decode : int -> Json.t -> 'a) : 'a list option =
+  let headed = ref false and records = ref [] in
+  List.iteri
+    (fun i l ->
+      if String.trim l <> "" then begin
+        let j = try Json.parse l with Json.Parse_error m -> error "%s line %d: %s" what (i + 1) m in
+        if !headed then records := decode (i + 1) j :: !records
+        else begin
+          (match (Json.string_member "format" j, Json.int_member "version" j) with
+          | Some f, Some v when f = format && v = version -> ()
+          | Some f, Some v when f = format ->
+              error "%s: %s version %d, this build reads version %d" path what v version
+          | _ -> error "%s: %s does not start with a %s meta record" path what format);
+          headed := true
+        end
+      end)
+    (String.split_on_char '\n' (read_file path));
+  if !headed then Some (List.rev !records) else None
+
 (* ------------------------------------------------------------------ *)
 (* The exclusion artifact                                               *)
 (* ------------------------------------------------------------------ *)
@@ -277,25 +301,9 @@ let load_exclusions dir : exclusion list =
   let path = exclusions_path dir in
   if not (Sys.file_exists path) then []
   else
-    let lines =
-      read_file path |> String.split_on_char '\n'
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    let parse lineno l =
-      try Json.parse l
-      with Json.Parse_error m -> error "exclusions line %d: %s" lineno m
-    in
-    match lines with
-    | [] -> []
-    | header :: rest ->
-        let h = parse 1 header in
-        (match (Json.string_member "format" h, Json.int_member "version" h) with
-        | Some "sic-exclusions", Some v when v = exclusions_version -> ()
-        | Some "sic-exclusions", Some v ->
-            error "%s: exclusions version %d, this build reads version %d" dir v
-              exclusions_version
-        | _ -> error "%s: exclusions file does not start with a sic-exclusions meta record" dir);
-        List.mapi (fun i l -> exclusion_of_json (i + 2) (parse (i + 2) l)) rest
+    read_ndjson path ~what:"exclusions" ~format:"sic-exclusions" ~version:exclusions_version
+      exclusion_of_json
+    |> Option.value ~default:[]
 
 (* ------------------------------------------------------------------ *)
 (* Open / create                                                        *)
@@ -313,30 +321,15 @@ let init dir =
   { dir; runs_rev = []; exclusions_rev = [] }
 
 let load dir =
-  if not (Sys.file_exists (manifest_path dir)) then
+  let path = manifest_path dir in
+  if not (Sys.file_exists path) then
     error "%s is not a coverage database (no manifest.ndjson); run `sic db init` first" dir;
-  let lines =
-    read_file (manifest_path dir)
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
+  let runs =
+    match read_ndjson path ~what:"manifest" ~format:"sic-db" ~version run_of_json with
+    | None -> error "%s: empty manifest" dir
+    | Some runs -> runs
   in
-  let parse lineno l =
-    try Json.parse l
-    with Json.Parse_error m -> error "manifest line %d: %s" lineno m
-  in
-  match lines with
-  | [] -> error "%s: empty manifest" dir
-  | header :: rest ->
-      let h = parse 1 header in
-      (match (Json.string_member "format" h, Json.int_member "version" h) with
-      | Some "sic-db", Some v when v = version -> ()
-      | Some "sic-db", Some v ->
-          error "%s: database version %d, this build reads version %d" dir v version
-      | _ -> error "%s: manifest does not start with a sic-db meta record" dir);
-      let runs =
-        List.mapi (fun i l -> run_of_json (i + 2) (parse (i + 2) l)) rest
-      in
-      { dir; runs_rev = List.rev runs; exclusions_rev = List.rev (load_exclusions dir) }
+  { dir; runs_rev = List.rev runs; exclusions_rev = List.rev (load_exclusions dir) }
 
 let open_or_init dir = if Sys.file_exists (manifest_path dir) then load dir else init dir
 

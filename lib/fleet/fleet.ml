@@ -20,6 +20,7 @@
     [-j]. *)
 
 module Bv = Sic_bv.Bv
+module Artifact = Sic_coverage.Artifact
 module Counts = Sic_coverage.Counts
 module Timeline = Sic_coverage.Timeline
 module Removal = Sic_coverage.Removal
@@ -408,7 +409,7 @@ let decode (payload : string) : (decoded, string) result =
                 let witness_sections = List.map take witness_lens in
                 let witness_of_section s =
                   match String.index_opt s '\n' with
-                  | None -> raise (Replay.Bad_format "witness section lacks a name line")
+                  | None -> Artifact.fail "witness section lacks a name line"
                   | Some i ->
                       ( String.sub s 0 i,
                         Replay.of_string (String.sub s (i + 1) (String.length s - i - 1)) )
@@ -445,10 +446,7 @@ let decode (payload : string) : (decoded, string) result =
                                 };
                             telemetry;
                           }
-                    | exception Counts.Bad_format m -> fail "bad worker counts: %s" m
-                    | exception Timeline.Bad_format m -> fail "bad worker timeline: %s" m
-                    | exception Profile.Bad_format m -> fail "bad worker profile: %s" m
-                    | exception Replay.Bad_format m -> fail "bad worker witness: %s" m)
+                    | exception Artifact.Error e -> fail "bad worker result: %s" (Artifact.message e))
                 | Some "failed" ->
                     Ok
                       {
@@ -1005,8 +1003,7 @@ let run_campaign ?(inject_crash = fun _ -> false) ?on_event ~(db : Db.t) (spec :
         match Profile.merge [ [ prev ]; [ d ] ] with
         | [ m ] -> Hashtbl.replace profs circuit_hash m
         (* a malformed worker profile must not kill the campaign *)
-        | _ -> Obs.count "fleet.profile_dropped"
-        | exception Profile.Bad_format _ -> Obs.count "fleet.profile_dropped")
+        | _ | (exception Artifact.Error _) -> Obs.count "fleet.profile_dropped")
   in
   let hash c = Digest.to_hex (Digest.string (Sic_ir.Printer.circuit_to_string c)) in
   List.iteri

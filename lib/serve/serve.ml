@@ -32,6 +32,7 @@
     - graceful shutdown: SIGINT/SIGTERM (or {!stop}) stop the accept
       loop, drain queued connections, and join every worker. *)
 
+module Artifact = Sic_coverage.Artifact
 module Counts = Sic_coverage.Counts
 module Db = Sic_db.Db
 module Json = Sic_obs.Json
@@ -887,7 +888,7 @@ let post_run t (req : Http.request) : reply =
   in
   let counts =
     try Counts.of_string req.Http.body
-    with Counts.Bad_format m -> raise (Http.Bad_request ("bad counts payload: " ^ m))
+    with Artifact.Error e -> raise (Http.Bad_request ("bad counts payload: " ^ Artifact.message e))
   in
   let worker = str "worker" "" in
   let run, newly, agg, nruns, nok, units =
@@ -1165,8 +1166,10 @@ let handle t (req : Http.request) : reply =
   | meth, _ -> text 405 (Printf.sprintf "method %s not supported\n" meth)
 
 (** [handle] plus the 4xx/5xx mapping: parser and payload errors are the
-    client's fault, lock timeouts mean "retry later", anything else that
-    escapes is a 500 — never a dead worker. *)
+    client's fault (a bad request body is converted where it is parsed),
+    lock timeouts mean "retry later", and anything else that escapes — a
+    corrupt artifact on the server's own disk included — is a 500, never
+    a dead worker. *)
 let safe_handle t (req : Http.request) : reply =
   try handle t req with
   | Http.Bad_request m -> text 400 (m ^ "\n")
@@ -1174,7 +1177,7 @@ let safe_handle t (req : Http.request) : reply =
   | Db.Db_error m when String.length m >= 9 && String.sub m 0 9 = "timed out" ->
       text 503 (m ^ "\n")
   | Db.Db_error m -> text 500 ("database error: " ^ m ^ "\n")
-  | Counts.Bad_format m -> text 400 ("bad counts payload: " ^ m ^ "\n")
+  | Artifact.Error e -> text 500 ("corrupt artifact: " ^ Artifact.message e ^ "\n")
   | e -> text 500 ("internal error: " ^ Printexc.to_string e ^ "\n")
 
 (* ------------------------------------------------------------------ *)
@@ -1374,10 +1377,12 @@ let serve_connection t fd : [ `Close | `Detached ] =
                | Some v -> String.lowercase_ascii v <> "close"
                | None -> req.Http.version = "HTTP/1.1")
           in
+          (* counted before the reply leaves, so a client that has seen the
+             reply always finds the request in /metrics *)
+          record_request t req ~status:reply.status ~start_us;
           send
             (Http.response ~status:reply.status ~content_type:reply.content_type
                ~extra:reply.extra ~keep_alive reply.body);
-          record_request t req ~status:reply.status ~start_us;
           if not keep_alive then closing := true
     end
   done;

@@ -106,9 +106,9 @@ let op_name = function
 (* Engine profiler state (see {!Profile}): per-tape-index counters plus the
    static provenance computed at build time. [ph_hits] counts
    {e value-changing} evaluations — a property of the value stream, so it
-   is identical across the plain and activity schedulers (and matches
-   {!Ref_tape}'s), which is what makes the exported artifact
-   byte-deterministic. [ph_exec] counts actual executions — the dirty-flag
+   is identical across the plain and activity schedulers (and matches the
+   value changes {!Interp} shows), which is what makes the exported
+   artifact byte-deterministic. [ph_exec] counts actual executions — the dirty-flag
    scheduler's re-evals (profiled builds always run the activity
    schedule) — a live-only diagnostic excluded from the artifact, because
    re-eval counts legitimately differ between engines: a linearized temp

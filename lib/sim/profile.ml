@@ -11,16 +11,17 @@
 
     [hits] counts {e value-changing} evaluations, not raw executions: the
     number is a property of the value stream, so it is identical across the
-    plain and activity-mode schedulers and across engines (compiled vs
-    ref_tape) — which is what makes the artifact deterministic (same
+    plain and activity-mode schedulers and equals the value changes an
+    interp run shows — which is what makes the artifact deterministic (same
     design/seed/cycles ⇒ byte-identical bytes regardless of [--activity]
     or [-j]) and lets a differential test catch a dirty-flag scheduler that
     silently skips work. [time_ns] is sampled (every Nth [run_tape]) and
     zero in counts-only profiles, e.g. everything produced by fleet
     workers.
 
-    The text format follows the house counts-v1/.tl style: a versioned
-    header rejected on version mismatch, [#] comments, then per design
+    The text format follows the shared {!Sic_coverage.Artifact} rules (a
+    versioned header, another version rejected, [#] comments skipped),
+    then per design
 
     {v
     d <design> <runs> <cycles>
@@ -30,6 +31,8 @@
     where [root] is the defined name of the originating statement (unique
     in the flat low form; [Stmt.def_name]) and the location, which may
     contain spaces, is the rest of the line ([-] when unknown). *)
+
+module Artifact = Sic_coverage.Artifact
 
 type row = {
   idx : int;  (** tape position *)
@@ -50,21 +53,15 @@ type design_profile = {
 
 type t = design_profile list
 
-exception Bad_format of string
-
-let bad_format lineno fmt =
-  Printf.ksprintf (fun m -> raise (Bad_format (Printf.sprintf "line %d: %s" lineno m))) fmt
-
 (* ------------------------------------------------------------------ *)
 (* Text format                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let header = "# sic profile v1"
-let header_prefix = "# sic profile"
+let kind = "profile"
 
 let to_string (t : t) =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (header ^ "\n");
+  Buffer.add_string buf (Artifact.header kind ^ "\n");
   List.iter
     (fun d ->
       Buffer.add_string buf (Printf.sprintf "d %s %d %d\n" d.design d.runs d.cycles);
@@ -88,69 +85,43 @@ let of_string s : t =
         designs := { d with rows = Array.of_list (List.rev rows) } :: !designs;
         cur := None
   in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let line = String.trim line in
-      if
-        String.length line >= String.length header_prefix
-        && String.sub line 0 (String.length header_prefix) = header_prefix
-      then begin
-        if line <> header then
-          bad_format lineno "unsupported profile format %S (this reader understands %S)" line
-            header
-      end
-      else if line = "" || line.[0] = '#' then ()
-      else
-        match String.split_on_char ' ' line with
-        | "d" :: rest -> (
-            close ();
-            match rest with
-            | [ design; runs; cycles ] -> (
-                match (int_of_string_opt runs, int_of_string_opt cycles) with
-                | Some runs, Some cycles ->
-                    cur := Some ({ design; runs; cycles; rows = [||] }, [])
-                | _ -> bad_format lineno "bad design line %S" line)
-            | _ -> bad_format lineno "bad design line %S" line)
-        | idx :: hits :: time_ns :: is_root :: op :: root :: loc_words -> (
-            match
-              ( int_of_string_opt idx,
-                int_of_string_opt hits,
-                int_of_string_opt time_ns,
-                is_root )
-            with
-            | Some idx, Some hits, Some time_ns, ("0" | "1") -> (
-                let r =
-                  {
-                    idx;
-                    hits;
-                    time_ns;
-                    is_root = is_root = "1";
-                    op;
-                    root;
-                    loc = (match loc_words with [] -> "-" | ws -> String.concat " " ws);
-                  }
-                in
-                match !cur with
-                | Some (d, rows) -> cur := Some (d, r :: rows)
-                | None -> bad_format lineno "instruction row before any 'd' line")
-            | _ -> bad_format lineno "bad instruction row %S" line)
-        | _ -> bad_format lineno "bad instruction row %S" line)
-    (String.split_on_char '\n' s);
+  let count s = match int_of_string_opt s with Some n when n >= 0 -> Some n | _ -> None in
+  ignore
+    (Artifact.iter_records kind s (fun lineno line ->
+         match String.split_on_char ' ' line with
+         | "d" :: rest -> (
+             close ();
+             match rest with
+             | [ design; runs; cycles ] -> (
+                 match (count runs, count cycles) with
+                 | Some runs, Some cycles -> cur := Some ({ design; runs; cycles; rows = [||] }, [])
+                 | _ -> Artifact.fail_at lineno "bad design line %S" line)
+             | _ -> Artifact.fail_at lineno "bad design line %S" line)
+         | idx :: hits :: time_ns :: is_root :: op :: root :: loc_words -> (
+             match (count idx, count hits, count time_ns, is_root) with
+             | Some idx, Some hits, Some time_ns, ("0" | "1") -> (
+                 let r =
+                   {
+                     idx;
+                     hits;
+                     time_ns;
+                     is_root = is_root = "1";
+                     op;
+                     root;
+                     loc = (match loc_words with [] -> "-" | ws -> String.concat " " ws);
+                   }
+                 in
+                 match !cur with
+                 | Some (d, rows) -> cur := Some (d, r :: rows)
+                 | None -> Artifact.fail_at lineno "instruction row before any 'd' line")
+             | _ -> Artifact.fail_at lineno "bad instruction row %S" line)
+         | _ -> Artifact.fail_at lineno "bad instruction row %S" line));
   close ();
   List.rev !designs
 
-let output oc (t : t) = output_string oc (to_string t)
+let save path (t : t) = Artifact.save path (to_string t)
 
-let save path (t : t) =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output oc t)
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+let load path = Artifact.load of_string path
 
 (* ------------------------------------------------------------------ *)
 (* Merge                                                                *)
@@ -159,7 +130,7 @@ let load path =
 (** Positional pointwise sum per design. Two profiles of the same design
     must have the same tape shape (same instruction at every position) —
     guaranteed when they come from the same build of the same circuit;
-    anything else raises {!Bad_format}. *)
+    anything else raises {!Sic_coverage.Artifact.Error}. *)
 let merge (ts : t list) : t =
   let out : (string, design_profile) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
@@ -171,18 +142,14 @@ let merge (ts : t list) : t =
              order := d.design :: !order
          | Some prev ->
              if Array.length prev.rows <> Array.length d.rows then
-               raise
-                 (Bad_format
-                    (Printf.sprintf "design %s: tape shape mismatch (%d vs %d instructions)"
-                       d.design (Array.length prev.rows) (Array.length d.rows)));
+               Artifact.fail "design %s: tape shape mismatch (%d vs %d instructions)" d.design
+                 (Array.length prev.rows) (Array.length d.rows);
              let rows =
                Array.map2
                  (fun (a : row) (b : row) ->
                    if a.idx <> b.idx || a.op <> b.op || a.root <> b.root then
-                     raise
-                       (Bad_format
-                          (Printf.sprintf "design %s: instruction %d mismatch (%s %s vs %s %s)"
-                             d.design a.idx a.op a.root b.op b.root));
+                     Artifact.fail "design %s: instruction %d mismatch (%s %s vs %s %s)" d.design
+                       a.idx a.op a.root b.op b.root;
                    { a with hits = a.hits + b.hits; time_ns = a.time_ns + b.time_ns })
                  prev.rows d.rows
              in

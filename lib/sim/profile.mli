@@ -23,23 +23,21 @@ type design_profile = {
 
 type t = design_profile list
 
-exception Bad_format of string
-
 (** {1 Interchange} *)
 
 val to_string : t -> string
 val of_string : string -> t
-(** Raises {!Bad_format} (with a line number) on malformed input or a
-    version this reader does not understand. *)
+(** Raises {!Sic_coverage.Artifact.Error} (with a line number) on
+    malformed input, a negative count or a version this reader does not
+    understand. *)
 
-val output : out_channel -> t -> unit
 val save : string -> t -> unit
 val load : string -> t
 
 val merge : t list -> t
 (** Positional pointwise sum of [hits]/[time_ns] per design (fleet
-    aggregation); raises {!Bad_format} if the same design appears with
-    mismatched tape shapes. *)
+    aggregation); raises {!Sic_coverage.Artifact.Error} if the same design
+    appears with mismatched tape shapes. *)
 
 (** {1 Aggregation} *)
 

@@ -7,6 +7,7 @@
     "identical counts" tests. *)
 
 module Bv = Sic_bv.Bv
+module Artifact = Sic_coverage.Artifact
 
 type trace = {
   input_names : string list;  (** includes reset *)
@@ -50,18 +51,16 @@ let replay (b : Backend.t) (t : trace) =
 (* Text interchange                                                     *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad_format of string
+let kind = "replay trace"
 
-let bad fmt = Printf.ksprintf (fun m -> raise (Bad_format m)) fmt
-
-let format_header = "# sic replay trace v1"
+let format_header = Artifact.header kind
 
 (** The pipe/artifact serialization: a versioned header, the input-channel
     names, then one line per cycle of space-separated binary values (the
     string length {e is} each value's width). Line-oriented and fully
-    self-describing, in the same house style as the counts and timeline
-    formats — fleet workers ship BMC witnesses back over their result
-    pipes in exactly this text. *)
+    self-describing, under the shared {!Sic_coverage.Artifact} rules —
+    fleet workers ship BMC witnesses back over their result pipes in
+    exactly this text. *)
 let to_string (t : trace) : string =
   let buf = Buffer.create 256 in
   Buffer.add_string buf format_header;
@@ -81,45 +80,43 @@ let to_string (t : trace) : string =
   Buffer.contents buf
 
 let of_string (s : string) : trace =
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | header :: inputs_line :: frames_line :: rest ->
-      if String.trim header <> format_header then
-        bad "line 1: expected %S, got %S" format_header header;
-      let input_names =
-        match String.split_on_char ' ' (String.trim inputs_line) with
-        | "inputs" :: names when names <> [] -> names
-        | _ -> bad "line 2: expected `inputs <name>...'"
-      in
-      let n_frames =
-        match String.split_on_char ' ' (String.trim frames_line) with
-        | [ "frames"; n ] -> (
-            match int_of_string_opt n with
-            | Some n when n >= 0 -> n
-            | _ -> bad "line 3: bad frame count %S" n)
-        | _ -> bad "line 3: expected `frames <n>'"
-      in
-      let width = List.length input_names in
-      let frame_lines = Array.of_list rest in
-      if Array.length frame_lines < n_frames then
-        bad "truncated trace: %d of %d frames" (Array.length frame_lines) n_frames;
-      let frames =
-        Array.init n_frames (fun f ->
-            let cells =
-              String.split_on_char ' ' (String.trim frame_lines.(f))
-              |> List.filter (fun c -> c <> "")
-            in
+  let inputs = ref None and declared = ref None in
+  let frames = ref [] and n = ref 0 and last = ref 0 in
+  let headed =
+    Artifact.iter_records kind s (fun lineno line ->
+        last := lineno;
+        let words = String.split_on_char ' ' line in
+        match (!inputs, !declared) with
+        | None, _ -> (
+            match words with
+            | "inputs" :: names when names <> [] -> inputs := Some names
+            | _ -> Artifact.fail_at lineno "expected `inputs <name>...'")
+        | Some _, None -> (
+            match words with
+            | [ "frames"; k ] -> (
+                match int_of_string_opt k with
+                | Some k when k >= 0 -> declared := Some k
+                | _ -> Artifact.fail_at lineno "bad frame count %S" k)
+            | _ -> Artifact.fail_at lineno "expected `frames <n>'")
+        | Some names, Some k ->
+            if !n >= k then Artifact.fail_at lineno "more than the %d declared frames" k;
+            let cells = List.filter (fun c -> c <> "") words in
+            let width = List.length names in
             if List.length cells <> width then
-              bad "line %d: %d values for %d inputs" (f + 4) (List.length cells) width;
-            Array.of_list
-              (List.map
-                 (fun c ->
-                   try Bv.of_binary_string c
-                   with Invalid_argument _ -> bad "line %d: bad value %S" (f + 4) c)
-                 cells))
-      in
-      { input_names; frames }
-  | _ -> bad "truncated trace header"
+              Artifact.fail_at lineno "%d values for %d inputs" (List.length cells) width;
+            let value c =
+              try Bv.of_binary_string c
+              with Invalid_argument _ -> Artifact.fail_at lineno "bad value %S" c
+            in
+            frames := Array.of_list (List.map value cells) :: !frames;
+            incr n)
+  in
+  if not headed then Artifact.fail "missing %S header" format_header;
+  match (!inputs, !declared) with
+  | Some input_names, Some k ->
+      if !n < k then Artifact.fail_at (!last + 1) "truncated trace: %d of %d frames" !n k;
+      { input_names; frames = Array.of_list (List.rev !frames) }
+  | _ -> Artifact.fail "truncated trace header"
 
 (** Save / load a trace as a VCD file, so recorded workloads are ordinary
     waveform artifacts. *)

@@ -23,17 +23,17 @@ val replay : Backend.t -> trace -> unit
     A versioned, line-oriented serialization (header, input names, one
     line of space-separated binary values per cycle — the string length is
     the value's width). This is how fleet workers ship BMC witness traces
-    back over their result pipes, and how witness seeds persist on disk. *)
-
-exception Bad_format of string
-(** The message names the offending line. *)
+    back over their result pipes, and how witness seeds persist on disk.
+    The shared {!Sic_coverage.Artifact} rules apply; the header is
+    required. *)
 
 val format_header : string
 (** First line of the v1 text format, ["# sic replay trace v1"]. *)
 
 val to_string : trace -> string
 val of_string : string -> trace
-(** Raises {!Bad_format} on malformed or truncated input. *)
+(** Raises {!Sic_coverage.Artifact.Error}, located at the offending line,
+    on malformed or truncated input. *)
 
 val save_vcd : string -> Backend.t -> trace -> unit
 val load_vcd : string -> trace

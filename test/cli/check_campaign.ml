@@ -1,8 +1,9 @@
 (* CLI regression for [sic campaign] / [sic db]: the coverage database a
    campaign produces must be byte-for-byte independent of -j, a crashed
    worker must be recorded as a failed run without killing the campaign,
-   and [sic db rank] must pick a run subset whose merged coverage equals
-   the full aggregate.
+   [sic db rank] must pick a run subset whose merged coverage equals the
+   full aggregate, and a corrupt artifact in a database must be reported
+   as a located error, not an uncaught exception.
 
    Usage: check_campaign.exe SIC.exe *)
 
@@ -100,4 +101,24 @@ let () =
   if List.length picked > List.length (Db.ok_runs db4) then fail "rank picked too many runs";
   (* scan --db: §5.3 removal against the database before instrumentation *)
   run "scan --design gcd -m line --width 8 --db db_j4 --threshold 1";
+  (* atomic saves leave no temp files behind *)
+  List.iter
+    (fun dir ->
+      Array.iter
+        (fun f -> if contains f ".tmp" then fail "leftover temp file %s/%s" dir f)
+        (Sys.readdir dir))
+    [ "db_j1"; "db_j4"; "db_crash" ];
+  (* a corrupt timeline: a located error on stderr and exit 1 *)
+  run "campaign --db db_corrupt -j 1 --design counter --backend compiled --seeds 1 --cycles 100";
+  let tl = Filename.concat "db_corrupt" "r0001.tl" in
+  Out_channel.with_open_bin tl (fun oc -> output_string oc "# sic coverage timeline v1\ntotal x\n");
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s db report db_corrupt --timeline > /dev/null 2> db_corrupt.err"
+         (Filename.quote !sic))
+  in
+  if rc <> 1 then fail "db report on a corrupt timeline exited %d (wanted 1)" rc;
+  let err = read_file "db_corrupt.err" in
+  if not (contains err (Printf.sprintf "error: %s:2: bad total" tl)) then
+    fail "corrupt timeline error is not located: %s" err;
   print_endline "check_campaign: ok"

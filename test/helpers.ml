@@ -203,10 +203,9 @@ let standard_vars : (string * Ty.t) list =
     ("s33", Ty.SInt 33);
   ]
 
-(* Every software backend: the interpreter, the word-level engine (plain
-   and activity-driven via Essent), the retired closure/Bv reference
-   tape (plain and activity-driven) kept as the differential oracle, and
-   the bit-parallel lane engine's lockstep facade (3 lanes keeps the
+(* Every software backend: the interpreter (the differential reference),
+   the word-level engine (plain and activity-driven via Essent), and the
+   bit-parallel lane engine's lockstep facade (3 lanes keeps the
    packed-plane, strided and wide storage classes all honest without
    slowing the suite). *)
 let backends : (string * (Circuit.t -> Sic_sim.Backend.t)) list =
@@ -214,7 +213,5 @@ let backends : (string * (Circuit.t -> Sic_sim.Backend.t)) list =
     ("interp", Sic_sim.Interp.create);
     ("compiled", fun c -> Sic_sim.Compiled.create c);
     ("essent", Sic_sim.Essent.create);
-    ("ref-tape", fun c -> Sic_sim.Ref_tape.create c);
-    ("ref-tape-activity", fun c -> Sic_sim.Ref_tape.create ~activity:true c);
     ("lanes", fun c -> Sic_sim.Lanes.create ~lanes:3 c);
   ]

@@ -57,9 +57,16 @@ let test_trace_text_round_trip () =
   List.iter
     (fun bad ->
       match Replay.of_string bad with
-      | exception Replay.Bad_format _ -> ()
+      | exception Sic_coverage.Artifact.Error _ -> ()
       | _ -> Alcotest.fail "malformed trace accepted")
-    [ ""; "# wrong header\ninputs a\nframes 0"; Replay.format_header ^ "\ninputs a\nframes 2\n1" ]
+    [ ""; "# wrong header\ninputs a\nframes 0"; Replay.format_header ^ "\ninputs a\nframes 2\n1" ];
+  (* a short trace is reported by its real frame count, at the line where
+     the missing frames should start; the trailing newline is no frame *)
+  match Replay.of_string (Replay.format_header ^ "\ninputs a\nframes 3\n1\n") with
+  | _ -> Alcotest.fail "truncated trace accepted"
+  | exception Sic_coverage.Artifact.Error e ->
+      Alcotest.(check string) "truncation located, real count"
+        "line 5: truncated trace: 1 of 3 frames" (Sic_coverage.Artifact.message e)
 
 let test_witness_differential () =
   (* the witness must fire its target and harvest identically on both

@@ -515,20 +515,21 @@ let test_counts_format () =
   (try
      ignore (Counts.of_string "# sic coverage counts v2\n1 a\n");
      Alcotest.fail "v2 header accepted"
-   with Counts.Bad_format m ->
-     Alcotest.(check bool) "v2 error has line number" true (contains ~needle:"line 1" m));
+   with Sic_coverage.Artifact.Error e ->
+     Alcotest.(check bool) "v2 error has line number" true (e.Sic_coverage.Artifact.line = Some 1));
   (try
      ignore (Counts.of_string "# a comment\n1 a\n# sic coverage counts v9\n");
      Alcotest.fail "late v9 header accepted"
-   with Counts.Bad_format m ->
+   with Sic_coverage.Artifact.Error e ->
      Alcotest.(check bool) "late header error has line number" true
-       (contains ~needle:"line 3" m));
+       (e.Sic_coverage.Artifact.line = Some 3));
   (* malformed data lines carry their line number too *)
   (try
      ignore (Counts.of_string "# sic coverage counts v1\n1 a\nnope b\n");
      Alcotest.fail "bad count accepted"
-   with Counts.Bad_format m ->
-     Alcotest.(check bool) "bad count names line 3" true (contains ~needle:"line 3" m));
+   with Sic_coverage.Artifact.Error e ->
+     Alcotest.(check bool) "bad count names line 3" true
+       (contains ~needle:"line 3" (Sic_coverage.Artifact.message e)));
   (* ordinary comments and blank lines are still skipped *)
   let c' = Counts.of_string "# sic coverage counts v1\n\n# note\n3 x\n" in
   Alcotest.(check int) "data parsed around comments" 3 (Counts.get c' "x")

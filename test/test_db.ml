@@ -160,6 +160,38 @@ let test_rank () =
   Alcotest.(check bool) "report renders" true
     (contains ~needle:"compiled" (Db.render_report db))
 
+(* Artifacts are replaced whole (temp file + rename): a reader holding the
+   old aggregate keeps the complete old map, never a torn or truncated
+   one, and a temp file a killed writer left behind is ignored. *)
+let test_atomic_save () =
+  let dir = fresh_dir "db_atomic" in
+  let db = Db.init dir in
+  let old = Counts.of_list [ ("p1", 3); ("p2", 0); ("p3", 1) ] in
+  ignore (add_ok db ~design:"gcd" ~backend:"compiled" (Counts.to_sorted_list old));
+  let ic = open_in_bin (Filename.concat dir "aggregate.cnt") in
+  ignore (add_ok db ~design:"gcd" ~backend:"compiled" ~seed:1 [ ("p2", 5); ("p4", 1) ]);
+  let seen = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic) in
+  Alcotest.(check bool) "an open reader still sees the whole old aggregate" true
+    (Counts.equal old (Counts.of_string seen));
+  Alcotest.(check (list string)) "no temp file is left behind" []
+    (List.filter (fun f -> contains ~needle:".tmp" f) (Array.to_list (Sys.readdir dir)));
+  (* a symlinked target is written through the link, which stays a link *)
+  let target = Filename.concat dir "target.cnt" and link = Filename.concat dir "link.cnt" in
+  Counts.save target old;
+  Unix.symlink "target.cnt" link;
+  Counts.save link (Counts.of_list [ ("p9", 9) ]);
+  Alcotest.(check bool) "a symlink stays a symlink" true
+    ((Unix.lstat link).Unix.st_kind = Unix.S_LNK && Counts.get (Counts.load target) "p9" = 9);
+  Out_channel.with_open_bin (Filename.concat dir "aggregate.cnt.x1y2z3.tmp") (fun oc ->
+      output_string oc "12 p");
+  let db' = Db.load dir in
+  Alcotest.(check int) "a leftover temp file is ignored" 2 (List.length (Db.runs db'));
+  Alcotest.(check int) "aggregate unaffected" 1 (Counts.get (Db.aggregate db') "p4");
+  Alcotest.(check bool) "report path unaffected" true
+    (String.length (Db.render_report db') > 0
+    && Counts.equal (Db.union_counts db')
+         (Counts.of_list [ ("p1", 3); ("p2", 5); ("p3", 1); ("p4", 1) ]))
+
 let tests =
   [
     Alcotest.test_case "manifest round-trip" `Quick test_round_trip;
@@ -167,4 +199,5 @@ let tests =
     Alcotest.test_case "format versioning" `Quick test_versioning;
     Alcotest.test_case "run diff" `Quick test_diff;
     Alcotest.test_case "greedy rank" `Quick test_rank;
+    Alcotest.test_case "atomic artifact save" `Quick test_atomic_save;
   ]

@@ -1,7 +1,7 @@
 (** Engine profiler tests: the artifact format round-trips byte-exactly,
     merge is a positional pointwise sum that rejects shape mismatches, the
-    word-level profiler's per-statement hit counts agree with the closure
-    reference tape (both schedules), and the artifact bytes are
+    word-level profiler's per-statement hit counts agree with the value
+    changes the reference interpreter shows, and the artifact bytes are
     deterministic — independent of the [~activity] flag and of whether
     timing sampling is on. *)
 
@@ -53,10 +53,23 @@ let test_format_roundtrip () =
 let test_bad_format () =
   (match Profile.of_string "# sic profile v99\n" with
   | _ -> Alcotest.fail "unknown version must raise"
-  | exception Profile.Bad_format _ -> ());
-  match Profile.of_string "# sic profile v1\nd g 1 1\nnot a row\n" with
+  | exception Sic_coverage.Artifact.Error _ -> ());
+  (match Profile.of_string "# sic profile v1\nd g 1 1\nnot a row\n" with
   | _ -> Alcotest.fail "malformed row must raise"
-  | exception Profile.Bad_format _ -> ()
+  | exception Sic_coverage.Artifact.Error _ -> ());
+  (* counts are never negative: a design line or a row that says so is
+     rejected at its line *)
+  List.iter
+    (fun (what, text) ->
+      match Profile.of_string text with
+      | _ -> Alcotest.fail (what ^ " must raise")
+      | exception Sic_coverage.Artifact.Error e ->
+          Alcotest.(check (option int))
+            (what ^ " is located") (Some 2) e.Sic_coverage.Artifact.line)
+    [
+      ("negative runs/cycles", "# sic profile v1\nd g -1 -5\n");
+      ("negative hits/time", "d g 1 1\n0 -3 -7 1 node x -\n");
+    ]
 
 let test_merge () =
   let dp = profiled_run (gcd_circuit ()) ~seed:3 ~cycles:40 in
@@ -78,46 +91,68 @@ let test_merge () =
   in
   match Profile.merge [ [ dp ]; [ truncated ] ] with
   | _ -> Alcotest.fail "shape mismatch must raise"
-  | exception Profile.Bad_format _ -> ()
+  | exception Sic_coverage.Artifact.Error _ -> ()
 
-(* --- differential: hit counts vs the reference tape -------------------- *)
+(* --- differential: hit counts vs interp --------------------------------- *)
 
-(* Both engines count value-changing evaluations per named statement, so
-   wherever a statement has a row in both (the word-level engine eliminates
-   pure copies; the ref tape has no register rows) the counts must be
-   identical — under either ref-tape schedule. *)
-let check_against_ref ~activity name c =
+(* The word-level engine counts value-changing evaluations per named
+   statement. The interpreter is the reference: drive it with the same
+   poke/step sequence (reset step included), peek every root statement
+   before each edge, and count value changes from zero — the counts must
+   be identical. A register's row counts its next-value connect, which
+   its peeked value shows one edge later, so registers are peeked once
+   more after the final edge. *)
+let check_against_interp name c =
   let seed = 11 and cycles = 60 in
+  let low = lower c in
   let dp = profiled_run c ~seed ~cycles in
-  let compiled_hits = Hashtbl.create 64 in
-  Array.iter
-    (fun (r : Profile.row) ->
-      if r.Profile.is_root then Hashtbl.replace compiled_hits r.Profile.root r.Profile.hits)
-    dp.Profile.rows;
-  let rt = Ref_tape.build ~activity ~profile:true (lower c) in
-  drive (Ref_tape.to_backend ~name:"ref" rt) ~seed ~cycles;
-  let compared = ref 0 in
-  List.iter
-    (fun (stmt, ref_count) ->
-      match Hashtbl.find_opt compiled_hits stmt with
-      | None -> ()
-      | Some cc ->
-          incr compared;
-          Alcotest.(check int) (Printf.sprintf "%s: hits of %s" name stmt) ref_count cc)
-    (Ref_tape.hit_counts rt);
+  let regs = Hashtbl.create 16 in
+  Sic_ir.Stmt.iter
+    (function Sic_ir.Stmt.Reg { name; _ } -> Hashtbl.replace regs name () | _ -> ())
+    (Sic_ir.Circuit.main low).Sic_ir.Circuit.body;
+  let roots =
+    List.filter (fun (r : Profile.row) -> r.Profile.is_root) (Array.to_list dp.Profile.rows)
+  in
+  let b = Interp.create low in
+  let watched = List.map (fun (r : Profile.row) -> (r.Profile.root, ref None, ref 0)) roots in
+  let sample ~regs_only =
+    List.iter
+      (fun (n, prev, hits) ->
+        if (not regs_only) || Hashtbl.mem regs n then begin
+          let v = b.Backend.peek n in
+          let changed =
+            match !prev with None -> not (Bv.is_zero v) | Some p -> not (Bv.equal p v)
+          in
+          if changed then incr hits;
+          prev := Some v
+        end)
+      watched
+  in
+  let step n =
+    for _ = 1 to n do
+      sample ~regs_only:false;
+      b.Backend.step 1
+    done
+  in
+  drive { b with Backend.step } ~seed ~cycles;
+  sample ~regs_only:true;
+  List.iter2
+    (fun (r : Profile.row) (n, _, hits) ->
+      Alcotest.(check int) (Printf.sprintf "%s: hits of %s" name n) !hits r.Profile.hits)
+    roots watched;
   Alcotest.(check bool)
-    (Printf.sprintf "%s: compared a real set of statements (%d)" name !compared)
-    true (!compared >= 3)
+    (Printf.sprintf "%s: compared registers and other statements (%d)" name (List.length roots))
+    true
+    (Hashtbl.length regs > 0 && List.length roots > Hashtbl.length regs)
 
-let test_hits_match_ref_tape () =
+let test_hits_match_interp () =
   List.iter
-    (fun (name, c) ->
-      check_against_ref ~activity:false name c;
-      check_against_ref ~activity:true name c)
+    (fun (name, c) -> check_against_interp name c)
     [
       ("gcd", gcd_circuit ());
       ("fifo", Sic_designs.Fifo.circuit ());
       ("arbiter", Sic_designs.Arbiter.circuit ());
+      ("riscv-mini", Sic_designs.Riscv_mini.circuit ());
     ]
 
 (* --- determinism ------------------------------------------------------- *)
@@ -153,6 +188,6 @@ let tests =
     Alcotest.test_case "malformed artifacts raise Bad_format" `Quick test_bad_format;
     Alcotest.test_case "merge sums pointwise, rejects shape mismatch" `Quick test_merge;
     Alcotest.test_case "hit counts agree with the reference tape" `Quick
-      test_hits_match_ref_tape;
+      test_hits_match_interp;
     QCheck_alcotest.to_alcotest artifact_deterministic;
   ]

@@ -193,6 +193,29 @@ let test_e2e_endpoints () =
   Alcotest.(check int) "bad method is 405" 405
     (Client.call ~meth:"PUT" (url t "/report")).Client.status
 
+(* A corrupt artifact on the server's own disk is the server's fault: a
+   500 naming the file and line, never a 400 blaming the client. *)
+let test_e2e_corrupt_artifact () =
+  with_server @@ fun dir t ->
+  ignore (push t ~seed:0 (Counts.of_list [ ("a", 1) ]));
+  let write name text =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc text)
+  in
+  write "r0001.cnt" "# sic coverage counts v1\nnope a\n";
+  write "r0001.tl" "# sic coverage timeline v1\ntotal x\n";
+  let located path file =
+    let r = Client.get (url t path) in
+    Alcotest.(check int) (path ^ " is 500") 500 r.Client.status;
+    let needle = Filename.concat dir file ^ ":2:" in
+    let n = String.length needle and body = r.Client.body in
+    let rec has i = i + n <= String.length body && (String.sub body i n = needle || has (i + 1)) in
+    Alcotest.(check bool) (path ^ " names " ^ needle) true (has 0)
+  in
+  located "/report" "r0001.cnt";
+  located "/timelines" "r0001.tl";
+  Alcotest.(check int) "a bad request body is still 400" 400
+    (Client.post ~body:"not a counts file" (url t "/runs")).Client.status
+
 let test_e2e_keep_alive () =
   with_server @@ fun _dir t ->
   let c = Client.connect ~host:"127.0.0.1" ~port:(Serve.port t) in
@@ -450,6 +473,8 @@ let tests =
     Alcotest.test_case "http: percent coding" `Quick test_percent_round_trip;
     Alcotest.test_case "e2e: /report = union_max, etag/304" `Quick test_e2e_report_is_union_max;
     Alcotest.test_case "e2e: every endpoint + error mapping" `Quick test_e2e_endpoints;
+    Alcotest.test_case "e2e: corrupt artifact on disk is a located 500" `Quick
+      test_e2e_corrupt_artifact;
     Alcotest.test_case "e2e: keep-alive connection reuse" `Quick test_e2e_keep_alive;
     Alcotest.test_case "e2e: client vanishing mid-request" `Quick test_e2e_client_vanishes;
     Alcotest.test_case "e2e: duplicate push is idempotent" `Quick

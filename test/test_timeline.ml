@@ -47,9 +47,9 @@ let test_text_round_trip () =
 let check_bad name input =
   match Timeline.of_string input with
   | _ -> Alcotest.fail (name ^ ": accepted")
-  | exception Timeline.Bad_format msg ->
-      Alcotest.(check bool) (name ^ ": error locates the line") true
-        (String.length msg > 0)
+  | exception Sic_coverage.Artifact.Error e ->
+      Alcotest.(check bool) (name ^ ": error has a message") true
+        (String.length (Sic_coverage.Artifact.message e) > 0)
 
 let test_bad_format () =
   check_bad "missing header" "total 3\n10 1\n";
@@ -60,7 +60,8 @@ let test_bad_format () =
   (* the error message carries a line number *)
   match Timeline.of_string "# sic coverage timeline v1\ntotal 3\nbad line here\n" with
   | _ -> Alcotest.fail "malformed line accepted"
-  | exception Timeline.Bad_format msg ->
+  | exception Sic_coverage.Artifact.Error e ->
+      let msg = Sic_coverage.Artifact.message e in
       Alcotest.(check bool) "line number in message" true
         (String.length msg >= 7 && String.sub msg 0 7 = "line 3:")
 
