@@ -5,12 +5,18 @@
     point of the design (DESIGN.md "The coverage service"):
 
     - [POST /runs] ingest rate — the distributed-campaign write path
-      (every request re-reads the manifest under the advisory lock and
+      (every request syncs the server's database handle under the
+      advisory lock, reading only the manifest bytes appended since, and
       rewrites the aggregate);
-    - cached [GET /report] — the hot read path: manifest stat + memory;
+    - cached [GET /report] — the hot read path: handle sync + memory;
       also its [If-None-Match]/304 variant, which skips the body;
     - uncached [GET /report] — cache flushed before every request, so
-      each one re-reads every counts file and re-renders.
+      each one re-renders; the union-max it serves is kept incrementally
+      by the database handle, so it reads only new runs' counts files.
+
+    A scaling row repeats POST and uncached GET on databases pre-seeded
+    with few and with many runs: both p50s should stay flat in the run
+    count.
 
     All requests ride one keep-alive connection from the in-module
     client against an in-process server on an ephemeral port. Latencies
@@ -128,6 +134,61 @@ let bench_watch_fanout url c ~seed0 ~body ~n_subs ~n_events : result =
     r.req_per_s r.p50_us r.p99_us;
   r
 
+(* POST /runs then an uncached GET /report, [n] times, on a fresh server
+   over a database pre-seeded with [runs] runs. The first GET after start
+   folds every pre-seeded run into the handle's union and is not timed:
+   the row measures the steady state. *)
+type scaling = { runs : int; post_p50_us : float; report_p50_us : float }
+
+let bench_scaling ~points ~runs ~n : scaling =
+  let db_dir = Printf.sprintf "serve_bench_db_%d_%d" (Unix.getpid ()) runs in
+  rm_rf db_dir;
+  let db = Db.init db_dir in
+  let counts = synthetic_counts points in
+  for i = 1 to runs do
+    ignore (Db.add db ~design:"bench" ~backend:"bench" ~workload:"seed" ~seed:(-i) ~cycles:1 (Ok counts))
+  done;
+  let t = Serve.start ~port:0 ~threads:2 ~db_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.stop t;
+      rm_rf db_dir)
+    (fun () ->
+      let c = Client.connect ~host:"127.0.0.1" ~port:(Serve.port t) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let body = Counts.to_string counts in
+          let post = Obs.Histogram.create () and report = Obs.Histogram.create () in
+          let timed h f =
+            let r0 = Unix.gettimeofday () in
+            f ();
+            Obs.Histogram.add h ((Unix.gettimeofday () -. r0) *. 1e6)
+          in
+          let get () = expect 200 (Client.request c ~meth:"GET" ~target:"/report" ()) in
+          get ();
+          for i = 0 to n - 1 do
+            timed post (fun () ->
+                expect 201
+                  (Client.request c ~body ~meth:"POST"
+                     ~target:
+                       (Printf.sprintf
+                          "/runs?design=bench&backend=bench&workload=bench&seed=%d&cycles=1" i)
+                     ()));
+            Serve.flush_cache t;
+            timed report get
+          done;
+          let r =
+            {
+              runs;
+              post_p50_us = Obs.Histogram.percentile post 50.;
+              report_p50_us = Obs.Histogram.percentile report 50.;
+            }
+          in
+          Timing.row "%-24s %8d runs %9.0f us POST p50 %9.0f us uncached GET p50\n"
+            "scaling" r.runs r.post_p50_us r.report_p50_us;
+          r))
+
 let run () =
   let smoke = Sys.getenv_opt "SIC_BENCH_SMOKE" <> None in
   let points = if smoke then 50 else 500 in
@@ -190,6 +251,11 @@ let run () =
             in
             [ ingest; cached; conditional; uncached; fanout ]))
   in
+  let scaling =
+    List.map
+      (fun runs -> bench_scaling ~points ~runs ~n:(if smoke then 10 else 100))
+      (if smoke then [ 10; 100 ] else [ 100; 1000 ])
+  in
   let oc = open_out "BENCH_serve.json" in
   Printf.fprintf oc "{\n  \"smoke\": %b,\n  \"points\": %d,\n  \"runs_ingested\": %d,\n  \"results\": [\n"
     smoke points n_post;
@@ -202,6 +268,14 @@ let run () =
                \"p99_us\": %.1f }"
               r.rname r.requests r.req_per_s r.p50_us r.p99_us)
           results));
+  output_string oc "\n  ],\n  \"scaling\": [\n";
+  output_string oc
+    (String.concat ",\n"
+       (List.map
+          (fun s ->
+            Printf.sprintf "    { \"runs\": %d, \"post_p50_us\": %.1f, \"report_p50_us\": %.1f }"
+              s.runs s.post_p50_us s.report_p50_us)
+          scaling));
   output_string oc "\n  ]\n}\n";
   close_out oc;
   Timing.row "wrote BENCH_serve.json\n"

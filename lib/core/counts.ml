@@ -49,15 +49,15 @@ let merge (ts : t list) : t =
   List.iter (fun t -> Hashtbl.iter (fun k v -> add out k v) t) ts;
   out
 
+let max_into (acc : t) (t : t) =
+  Hashtbl.iter (fun k v -> if (not (Hashtbl.mem acc k)) || v > get acc k then set acc k v) t
+
 (** Pointwise maximum. Unlike {!merge} this is idempotent, so it is the
     right combinator when the same run's counts may be delivered more than
     once (worker retries, at-least-once collection in [Sic_fleet]). *)
 let union_max (ts : t list) : t =
   let out = create () in
-  List.iter
-    (fun t ->
-      Hashtbl.iter (fun k v -> if (not (Hashtbl.mem out k)) || v > get out k then set out k v) t)
-    ts;
+  List.iter (max_into out) ts;
   out
 
 let equal (a : t) (b : t) = to_sorted_list a = to_sorted_list b

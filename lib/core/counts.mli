@@ -39,6 +39,10 @@ val union_max : t list -> t
     run twice). Like {!merge}, missing keys count as zero and zero-count
     points are preserved. *)
 
+val max_into : t -> t -> unit
+(** [max_into acc t] folds [t] into [acc] in place: [acc] becomes
+    [union_max [acc; t]]. *)
+
 val equal : t -> t -> bool
 
 (** {1 Run-to-run comparison} *)

@@ -12,7 +12,8 @@
 
     - [manifest.ndjson] — one JSON object per line ({!Sic_obs.Json}
       syntax): a versioned header record, then one [run] record per
-      completed or failed job, appended in arrival order;
+      completed or failed job, appended in arrival order; a record is
+      committed once its newline is written;
     - [<run-id>.cnt] — the counts map of each successful run, in the
       {!Sic_coverage.Counts} v1 interchange format;
     - [aggregate.cnt] — a cached pointwise-sum of every successful run,
@@ -21,7 +22,8 @@
       full re-merge).
 
     Everything is human-readable text; [rm aggregate.cnt] simply forces a
-    recompute. *)
+    recompute. A handle ({!t}) is a live view that {!sync} catches up by
+    reading only what was appended since. *)
 
 module Counts = Sic_coverage.Counts
 module Timeline = Sic_coverage.Timeline
@@ -56,10 +58,25 @@ type exclusion = {
   ex_wave : int;  (** the closure wave that proved it *)
 }
 
+(* A live view of the directory: [sync] catches it up with the disk by
+   reading only the manifest bytes past [m_off]. The counters and the
+   union memo are maintained alongside, so no caller has to walk the run
+   list to learn its size. *)
 type t = {
   dir : string;
   mutable runs_rev : run list;  (** newest first; manifest order is the reverse *)
   mutable exclusions_rev : exclusion list;  (** newest first, like [runs_rev] *)
+  mutable m_ino : int;  (** the manifest's inode; -1 before the first sync *)
+  mutable m_off : int;  (** manifest bytes through the last complete line *)
+  mutable m_lines : int;  (** complete manifest lines, the header included *)
+  mutable m_headed : bool;  (** the meta record was among them *)
+  mutable n_runs : int;
+  mutable n_ok : int;
+  mutable ok_cycles : int;  (** summed over ok runs *)
+  mutable ex_size : int;  (** exclusions file size when last read; -1 never *)
+  mutable ex_off : int;  (** its bytes through the last complete line *)
+  mutable union : Counts.t;  (** union-max over the first [union_n] ok runs *)
+  mutable union_n : int;
 }
 
 let version = 1
@@ -220,39 +237,68 @@ let header_json () =
       ("version", Json.Int version);
     ]
 
-let append_to path (j : Json.t) =
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string j);
-      output_char oc '\n')
+let line_of (j : Json.t) = Json.to_string j ^ "\n"
 
-let append_line dir (j : Json.t) = append_to (manifest_path dir) j
+let append path text =
+  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
+
+(* The file's bytes from offset [off] on. *)
+let read_from path off =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      seek_in ic off;
+      really_input_string ic (max 0 (in_channel_length ic - off)))
+
+type 'a chunk = {
+  headed : bool;  (** the meta record has been seen, in this chunk or before *)
+  records_rev : 'a list;  (** newest first *)
+  lines : int;
+  bytes : int;
+}
 
 (* The NDJSON artifacts (manifest, exclusions): a meta record naming the
-   format and its version, then one JSON record per line. Returns each
-   record decoded by [decode lineno json] (blank lines are skipped), or
-   [None] for an empty file. Decoding as each line parses keeps the JSON
-   trees short-lived. *)
-let read_ndjson path ~what ~format ~version (decode : int -> Json.t -> 'a) : 'a list option =
-  let headed = ref false and records = ref [] in
-  List.iteri
-    (fun i l ->
-      if String.trim l <> "" then begin
-        let j = try Json.parse l with Json.Parse_error m -> error "%s line %d: %s" what (i + 1) m in
-        if !headed then records := decode (i + 1) j :: !records
-        else begin
-          (match (Json.string_member "format" j, Json.int_member "version" j) with
-          | Some f, Some v when f = format && v = version -> ()
-          | Some f, Some v when f = format ->
-              error "%s: %s version %d, this build reads version %d" path what v version
-          | _ -> error "%s: %s does not start with a %s meta record" path what format);
-          headed := true
-        end
-      end)
-    (String.split_on_char '\n' (read_file path));
-  if !headed then Some (List.rev !records) else None
+   format and its version, then one JSON record per line. [text] is the
+   file from line [line0 + 1] on, and [headed] says whether the meta
+   record came before it. Each record is decoded by [decode lineno json]
+   as its line parses, which keeps the JSON trees short-lived; blank
+   lines are skipped. A line counts only once its newline is written: an
+   unterminated tail is an append in progress, or one torn by a dead
+   writer, and is left unread. *)
+let parse_ndjson path ~what ~format ~version ~headed ~line0 (decode : int -> Json.t -> 'a) text
+    : 'a chunk =
+  let stop = match String.rindex_opt text '\n' with Some i -> i + 1 | None -> 0 in
+  let headed = ref headed and records = ref [] and lineno = ref line0 and pos = ref 0 in
+  while !pos < stop do
+    let nl = String.index_from text !pos '\n' in
+    let l = String.sub text !pos (nl - !pos) in
+    incr lineno;
+    pos := nl + 1;
+    if String.trim l <> "" then begin
+      let j = try Json.parse l with Json.Parse_error m -> error "%s line %d: %s" what !lineno m in
+      if !headed then records := decode !lineno j :: !records
+      else begin
+        (match (Json.string_member "format" j, Json.int_member "version" j) with
+        | Some f, Some v when f = format && v = version -> ()
+        | Some f, Some v when f = format ->
+            error "%s: %s version %d, this build reads version %d" path what v version
+        | _ -> error "%s: %s does not start with a %s meta record" path what format);
+        headed := true
+      end
+    end
+  done;
+  { headed = !headed; records_rev = !records; lines = !lineno - line0; bytes = stop }
+
+let file_size path =
+  match Unix.stat path with
+  | st -> st.Unix.st_size
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
+
+(* Under the lock: cut an unterminated tail a dead writer left at [off],
+   so the next record starts on a line of its own. *)
+let drop_torn_tail path ~off = if file_size path > off then Unix.truncate path off
 
 (* ------------------------------------------------------------------ *)
 (* The exclusion artifact                                               *)
@@ -297,17 +343,96 @@ let exclusion_of_json lineno (j : Json.t) : exclusion =
     ex_wave = Option.value ~default:0 (Json.int_member "wave" j);
   }
 
-let load_exclusions dir : exclusion list =
-  let path = exclusions_path dir in
-  if not (Sys.file_exists path) then []
-  else
-    read_ndjson path ~what:"exclusions" ~format:"sic-exclusions" ~version:exclusions_version
-      exclusion_of_json
-    |> Option.value ~default:[]
+(* The exclusions file is small and rarely written: any change of its
+   size re-reads it whole. *)
+let sync_exclusions t =
+  let path = exclusions_path t.dir in
+  let size = file_size path in
+  if size <> t.ex_size then begin
+    let c =
+      parse_ndjson path ~what:"exclusions" ~format:"sic-exclusions"
+        ~version:exclusions_version ~headed:false ~line0:0 exclusion_of_json
+        (if size = 0 then "" else read_from path 0)
+    in
+    t.exclusions_rev <- c.records_rev;
+    (* a file without its header yet holds nothing; the next append
+       starts it afresh *)
+    t.ex_off <- (if c.headed then c.bytes else 0);
+    t.ex_size <- size
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Open / create                                                        *)
+(* Open / create / sync                                                 *)
 (* ------------------------------------------------------------------ *)
+
+let empty dir =
+  {
+    dir;
+    runs_rev = [];
+    exclusions_rev = [];
+    m_ino = -1;
+    m_off = 0;
+    m_lines = 0;
+    m_headed = false;
+    n_runs = 0;
+    n_ok = 0;
+    ok_cycles = 0;
+    ex_size = -1;
+    ex_off = 0;
+    union = Counts.create ();
+    union_n = 0;
+  }
+
+let count_run t r =
+  t.n_runs <- t.n_runs + 1;
+  if r.status = Run_ok then begin
+    t.n_ok <- t.n_ok + 1;
+    t.ok_cycles <- t.ok_cycles + r.cycles
+  end
+
+(** Catch the handle up with the disk. Reads only the manifest bytes past
+    those already consumed, and only complete lines of them; a replaced
+    (new inode) or shrunk manifest is read again from the start. A parse
+    error leaves the handle as it was. *)
+let sync t =
+  let path = manifest_path t.dir in
+  let st =
+    try Unix.stat path
+    with Unix.Unix_error (Unix.ENOENT, _, _) ->
+      error "%s is not a coverage database (no manifest.ndjson); run `sic db init` first" t.dir
+  in
+  if st.Unix.st_ino <> t.m_ino || st.Unix.st_size < t.m_off then begin
+    (* a re-init or a replaced manifest: start over *)
+    t.runs_rev <- [];
+    t.m_ino <- st.Unix.st_ino;
+    t.m_off <- 0;
+    t.m_lines <- 0;
+    t.m_headed <- false;
+    t.n_runs <- 0;
+    t.n_ok <- 0;
+    t.ok_cycles <- 0;
+    t.ex_size <- -1;
+    t.union <- Counts.create ();
+    t.union_n <- 0
+  end;
+  if st.Unix.st_size > t.m_off then begin
+    let c =
+      parse_ndjson path ~what:"manifest" ~format:"sic-db" ~version ~headed:t.m_headed
+        ~line0:t.m_lines run_of_json (read_from path t.m_off)
+    in
+    List.iter (count_run t) c.records_rev;
+    t.runs_rev <- c.records_rev @ t.runs_rev;
+    t.m_headed <- c.headed;
+    t.m_lines <- t.m_lines + c.lines;
+    t.m_off <- t.m_off + c.bytes
+  end;
+  if not t.m_headed then error "%s: empty manifest" t.dir;
+  sync_exclusions t
+
+let load dir =
+  let t = empty dir in
+  sync t;
+  t
 
 let init dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
@@ -317,21 +442,18 @@ let init dir =
      fresh database *)
   if Sys.file_exists (aggregate_path dir) then Sys.remove (aggregate_path dir);
   if Sys.file_exists (exclusions_path dir) then Sys.remove (exclusions_path dir);
-  append_line dir (header_json ());
-  { dir; runs_rev = []; exclusions_rev = [] }
-
-let load dir =
-  let path = manifest_path dir in
-  if not (Sys.file_exists path) then
-    error "%s is not a coverage database (no manifest.ndjson); run `sic db init` first" dir;
-  let runs =
-    match read_ndjson path ~what:"manifest" ~format:"sic-db" ~version run_of_json with
-    | None -> error "%s: empty manifest" dir
-    | Some runs -> runs
-  in
-  { dir; runs_rev = List.rev runs; exclusions_rev = List.rev (load_exclusions dir) }
+  append (manifest_path dir) (line_of (header_json ()));
+  load dir
 
 let open_or_init dir = if Sys.file_exists (manifest_path dir) then load dir else init dir
+
+let run_count t = t.n_runs
+
+let ok_count t = t.n_ok
+
+let ok_cycles t = t.ok_cycles
+
+let stamp t = t.m_off + t.ex_off
 
 (* ------------------------------------------------------------------ *)
 (* Counts and the aggregate cache                                       *)
@@ -355,6 +477,7 @@ let load_timeline t (run : run) : Timeline.t option =
 let recompute_aggregate t : Counts.t =
   Obs.span "db.aggregate.recompute" @@ fun () ->
   Lock.with_lock t.dir @@ fun () ->
+  sync t;
   let agg = Counts.merge (List.map (load_counts t) (ok_runs t)) in
   Counts.save (aggregate_path t.dir) agg;
   agg
@@ -368,31 +491,40 @@ let aggregate t : Counts.t =
     instrumentation only carries still-uncovered points. *)
 let removal_counts = aggregate
 
+(* The ok runs past the first [n] ok runs, oldest first. Walks only the
+   newest end of the list. *)
+let ok_runs_after t n =
+  let rec go want acc = function
+    | r :: rest when want > 0 ->
+        if r.status = Run_ok then go (want - 1) (r :: acc) rest else go want acc rest
+    | _ -> acc
+  in
+  go (t.n_ok - n) [] t.runs_rev
+
 (** The idempotent merge: pointwise maximum over every successful run.
     Unlike the cached sum {!aggregate} this is safe under at-least-once
     delivery (a network producer that retries a push reports the same run
     twice), which is why the coverage server's [/report] serves this view.
-    Never cached — callers that need it hot (the server) key their own
-    cache on {!manifest_stamp}. *)
+    Max is associative, so the handle keeps the union of the runs it has
+    already folded and reads only the counts files of runs added since,
+    one at a time. Max is also idempotent: when a counts file fails to
+    load, the runs folded before it are folded again on the next call,
+    which changes nothing. *)
 let union_counts t : Counts.t =
-  Counts.union_max (List.map (load_counts t) (ok_runs t))
+  List.iter (fun r -> Counts.max_into t.union (load_counts t r)) (ok_runs_after t t.union_n);
+  t.union_n <- t.n_ok;
+  Counts.union_max [ t.union ]
 
-(** A cheap, monotonically increasing version of the database as it is on
-    disk {e right now}: the manifest's byte length. The manifest is
-    append-only, so any add — by this process or any other — grows it;
-    equal stamps imply an identical run set. This is the coverage
-    server's ETag key. *)
-let manifest_stamp t : int =
-  match Unix.stat (manifest_path t.dir) with
-  | st -> st.Unix.st_size
-  | exception Unix.Unix_error _ -> 0
-
-let next_id t = Printf.sprintf "r%04d" (List.length t.runs_rev + 1)
+let next_id t = Printf.sprintf "r%04d" (t.n_runs + 1)
 
 let add t ~design ?(circuit_hash = "-") ~backend ~workload ~seed ~cycles ?(wave = 0)
     ?(wall_us = 0.) ?timeline (outcome : (Counts.t, string) result) : run =
   Obs.span "db.add" @@ fun () ->
   Lock.with_lock t.dir @@ fun () ->
+  (* ids and the aggregate come from the disk, not from what this handle
+     saw last: another handle or process may have added runs since *)
+  sync t;
+  drop_torn_tail (manifest_path t.dir) ~off:t.m_off;
   let id = next_id t in
   let status, points_total, points_covered =
     match outcome with
@@ -422,14 +554,16 @@ let add t ~design ?(circuit_hash = "-") ~backend ~workload ~seed ~cycles ?(wave 
       | Some tl -> Timeline.save (Filename.concat t.dir (timeline_file run)) tl
       | None -> ());
       (* maintain the cache incrementally: sum-merge is associative *)
-      let agg =
-        if t.runs_rev = [] then counts
-        else Counts.merge [ aggregate t; counts ]
-      in
+      let agg = if t.n_ok = 0 then counts else Counts.merge [ aggregate t; counts ] in
       Counts.save (aggregate_path t.dir) agg
   | Error _ -> Obs.count "db.failed_runs");
-  append_line t.dir (json_of_run run);
+  (* the manifest line is the commit point *)
+  let line = line_of (json_of_run run) in
+  append (manifest_path t.dir) line;
   t.runs_rev <- run :: t.runs_rev;
+  count_run t run;
+  t.m_lines <- t.m_lines + 1;
+  t.m_off <- t.m_off + String.length line;
   run
 
 (* ------------------------------------------------------------------ *)
@@ -447,6 +581,9 @@ let excluded_names t : string list =
 let add_exclusions t (exs : exclusion list) : unit =
   Obs.span "db.add_exclusions" @@ fun () ->
   Lock.with_lock t.dir @@ fun () ->
+  sync_exclusions t;
+  let path = exclusions_path t.dir in
+  drop_torn_tail path ~off:t.ex_off;
   let already = Hashtbl.create 16 in
   List.iter (fun e -> Hashtbl.replace already e.ex_name ()) t.exclusions_rev;
   let fresh =
@@ -460,13 +597,15 @@ let add_exclusions t (exs : exclusion list) : unit =
       exs
   in
   if fresh <> [] then begin
-    let path = exclusions_path t.dir in
-    if not (Sys.file_exists path) then append_to path (exclusions_header_json ());
-    List.iter
-      (fun e ->
-        append_to path (json_of_exclusion e);
-        t.exclusions_rev <- e :: t.exclusions_rev)
-      fresh
+    let text =
+      String.concat ""
+        ((if t.ex_off = 0 then [ line_of (exclusions_header_json ()) ] else [])
+        @ List.map (fun e -> line_of (json_of_exclusion e)) fresh)
+    in
+    append path text;
+    t.exclusions_rev <- List.rev_append fresh t.exclusions_rev;
+    t.ex_off <- t.ex_off + String.length text;
+    t.ex_size <- t.ex_off
   end
 
 (* ------------------------------------------------------------------ *)

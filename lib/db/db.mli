@@ -47,6 +47,12 @@ type exclusion = {
     debt. *)
 
 type t
+(** A live view of a database directory. It holds what it last read of
+    the manifest and catches up with the disk in {!sync}, which reads
+    only what was appended since. One long-lived handle is the intended
+    use: a server keeps one for its whole life, and {!add} syncs it under
+    the lock first. A handle is not thread-safe; a threaded user
+    serializes its own calls. *)
 
 (** Cross-process mutual exclusion over a database directory, so
     concurrent writers ([sic db add], overlapping campaigns, the coverage
@@ -70,7 +76,19 @@ val init : string -> t
 
 val load : string -> t
 (** Open an existing database; rejects missing manifests and manifests
-    written by an incompatible format version. *)
+    written by an incompatible format version. This is {!sync} on a fresh
+    handle. *)
+
+val sync : t -> unit
+(** Catch the handle up with the disk. It reads only the manifest bytes
+    past those already consumed, so its cost is that of the runs added
+    since the last sync. Only complete, newline-terminated lines count:
+    an unterminated tail is an append in progress or one torn by a dead
+    writer, and is left unread (the newline is the commit point). A
+    manifest that was replaced (a new inode) or that shrank is read again
+    from the start. The exclusions file is read again whenever its size
+    changed. A parse error raises {!Db_error} and leaves the handle as it
+    was. *)
 
 val open_or_init : string -> t
 
@@ -80,6 +98,15 @@ val runs : t -> run list
 
 val find : t -> string -> run option
 val ok_runs : t -> run list
+
+val run_count : t -> int
+(** [List.length (runs t)], kept as a counter. *)
+
+val ok_count : t -> int
+(** [List.length (ok_runs t)], kept as a counter. *)
+
+val ok_cycles : t -> int
+(** The [cycles] of every ok run, summed; kept as a counter. *)
 
 val add :
   t ->
@@ -95,7 +122,10 @@ val add :
   (Counts.t, string) result ->
   run
 (** Record one run: write its counts file (on [Ok]), append the manifest
-    record, and fold the counts into the cached aggregate. [timeline]
+    record, and fold the counts into the cached aggregate. Under the
+    database lock it first {!sync}s the handle and cuts a torn manifest
+    tail left by a dead writer, so ids and the aggregate follow the disk
+    even when other handles or processes have added runs. [timeline]
     additionally persists the run's coverage-convergence curve as
     [<id>.tl] ({!Sic_coverage.Timeline} v1 format). [Error why] records a
     failed run — no counts, aggregate untouched — so a crashed worker
@@ -114,12 +144,17 @@ val union_counts : t -> Counts.t
 (** {!Sic_coverage.Counts.union_max} over every successful run — the
     idempotent merge, safe under at-least-once delivery (a retried push
     reporting the same run twice). What the coverage server's [/report]
-    serves. Computed fresh on every call. *)
+    serves. Incremental: the handle keeps the union over the ok runs it
+    has already folded and reads only the counts files of ok runs it
+    synced since the last call. Max is associative, so this equals a
+    full [union_max] over every ok run. The result is a fresh copy that
+    the caller may modify. *)
 
-val manifest_stamp : t -> int
-(** The on-disk manifest's current byte length — a cheap, monotonically
-    increasing database version that changes on every {!add} by any
-    process (the manifest is append-only). The coverage server keys its
+val stamp : t -> int
+(** The version of the state the handle last synced: the committed byte
+    lengths of the manifest and the exclusions file, summed. Both files
+    are append-only, so every {!add} and {!add_exclusions} by any process
+    grows it once a {!sync} has seen it. The coverage server keys its
     ETags and response cache on it. *)
 
 val recompute_aggregate : t -> Counts.t
@@ -155,9 +190,10 @@ val excluded_names : t -> string list
 
 val add_exclusions : t -> exclusion list -> unit
 (** Append to [exclusions.ndjson] (creating it, header first, on first
-    use) under the database lock. Idempotent per point name: already
-    excluded names are skipped, so replayed closure waves never duplicate
-    records. *)
+    use) under the database lock, after re-reading it if it changed and
+    cutting a torn tail. Idempotent per point name: already excluded
+    names, on disk or in the call, are skipped, so replayed closure waves
+    never duplicate records. *)
 
 val json_of_run : run -> Sic_obs.Json.t
 (** The run's manifest record (the coverage server's [/runs] rows). *)

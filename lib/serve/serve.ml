@@ -18,8 +18,11 @@
     - a bounded accept queue feeding a fixed pool of worker threads —
       when the queue is full the server answers [503] immediately instead
       of accumulating unbounded connections;
+    - the server keeps one live {!Db.t} for its whole life and
+      {!Db.sync}s it per request, which reads only what other writers
+      appended since;
     - responses that read the database ([/report], [/rank], ...) are
-      cached and tagged with an ETag keyed on {!Db.manifest_stamp}, so
+      cached and tagged with an ETag keyed on {!Db.stamp}, so
       hot report traffic on an unchanged database re-reads no counts
       files and conditional requests ([If-None-Match]) are answered
       [304] without a body;
@@ -477,7 +480,7 @@ type t = {
   mutable workers : Thread.t list;
   mutable acceptor : Thread.t option;
   db_m : Mutex.t;  (** serializes DB access and the response cache *)
-  mutable db : Db.t;
+  db : Db.t;  (** the one live handle, synced per request under [db_m] *)
   cache : (string, string * string * string) Hashtbl.t;
       (** request target -> (etag, content type, body) *)
   metrics : metrics;
@@ -597,7 +600,7 @@ let json_of_string_list l = Json.List (List.map (fun s -> Json.String s) l)
 
 let report_json (db : Db.t) : string =
   let union = Db.union_counts db in
-  let ok = List.length (Db.ok_runs db) and all = List.length (Db.runs db) in
+  let ok = Db.ok_count db and all = Db.run_count db in
   (* formally excluded points are off the books, as in the text report:
      totals range over non-excluded points only (identical to before when
      the database has no exclusion artifact) *)
@@ -819,59 +822,60 @@ setInterval(repaint, 1000);
 |dash}
 
 (** Serve a database-reading GET through the cache. The ETag is the
-    manifest stamp, re-checked against the disk on {e every} request, so
-    external writers ([sic db add], another campaign) invalidate us
-    automatically; a hit serves bytes from memory without touching any
-    counts file. *)
+    database stamp after a {!Db.sync} on {e every} request, so external
+    writers ([sic db add], another campaign, [sic close] adding
+    exclusions) invalidate us automatically, and the ETag names exactly
+    the state the body was rendered from; a hit serves bytes from memory
+    without touching any counts file. *)
 let cached t (req : Http.request) ~content_type (render : Db.t -> string) : reply =
-  let etag = Printf.sprintf "\"m%d\"" (Db.manifest_stamp t.db) in
-  let if_none_match =
-    match Http.header req "if-none-match" with
-    | Some v -> List.exists (fun e -> String.trim e = etag || String.trim e = "*")
-                  (String.split_on_char ',' v)
-    | None -> false
-  in
-  if if_none_match then { status = 304; content_type; extra = [ ("etag", etag) ]; body = "" }
-  else
-    let body =
-      Mutex.protect t.db_m (fun () ->
+  Mutex.protect t.db_m (fun () ->
+      Db.sync t.db;
+      let etag = Printf.sprintf "\"s%d\"" (Db.stamp t.db) in
+      let if_none_match =
+        match Http.header req "if-none-match" with
+        | Some v ->
+            List.exists
+              (fun e -> String.trim e = etag || String.trim e = "*")
+              (String.split_on_char ',' v)
+        | None -> false
+      in
+      if if_none_match then { status = 304; content_type; extra = [ ("etag", etag) ]; body = "" }
+      else
+        let body =
           match Hashtbl.find_opt t.cache req.Http.target with
           | Some (e, ct, body) when e = etag && ct = content_type ->
               t.metrics.cache_hits <- t.metrics.cache_hits + 1;
               body
           | _ ->
               t.metrics.cache_misses <- t.metrics.cache_misses + 1;
-              let db = Db.load t.db_dir in
-              t.db <- db;
-              let body = render db in
+              let body = render t.db in
               Hashtbl.replace t.cache req.Http.target (etag, content_type, body);
-              body)
-    in
-    { status = 200; content_type; extra = [ ("etag", etag) ]; body }
+              body
+        in
+        { status = 200; content_type; extra = [ ("etag", etag) ]; body })
 
 (** The [hello] event greeting a new /watch subscriber: where the
     database stands right now, so a dashboard renders before the first
     delta arrives. *)
 let overview_json t : Json.t =
-  let db =
+  let union, all, ok, units, stamp =
     Mutex.protect t.db_m (fun () ->
-        let db = Db.load t.db_dir in
-        t.db <- db;
-        db)
+        Db.sync t.db;
+        ( Db.union_counts t.db,
+          Db.run_count t.db,
+          Db.ok_count t.db,
+          Db.ok_cycles t.db,
+          Db.stamp t.db ))
   in
-  let union = Db.union_counts db in
-  let all = Db.runs db in
-  let ok = Db.ok_runs db in
-  let units = List.fold_left (fun acc (r : Db.run) -> acc + r.Db.cycles) 0 ok in
   Json.Obj
     [
-      ("runs", Json.Int (List.length all));
-      ("ok", Json.Int (List.length ok));
-      ("failed", Json.Int (List.length all - List.length ok));
+      ("runs", Json.Int all);
+      ("ok", Json.Int ok);
+      ("failed", Json.Int (all - ok));
       ("covered", Json.Int (Counts.covered_points union));
       ("total", Json.Int (Counts.total_points union));
       ("units", Json.Int units);
-      ("stamp", Json.Int (Db.manifest_stamp db));
+      ("stamp", Json.Int stamp);
       ("workers", Json.Int (active_producers t));
       ("kinds", kinds_json union);
     ]
@@ -891,22 +895,21 @@ let post_run t (req : Http.request) : reply =
     with Artifact.Error e -> raise (Http.Bad_request ("bad counts payload: " ^ Artifact.message e))
   in
   let worker = str "worker" "" in
-  let run, newly, agg, nruns, nok, units =
+  let run, newly, agg, nruns, nok, units, stamp =
     Mutex.protect t.db_m (fun () ->
         Db.Lock.with_lock t.db_dir (fun () ->
-            (* reload under the lock: another process may have appended
-               runs since we last looked, and ids are assigned in order *)
-            let db = Db.load t.db_dir in
             (* the aggregate *before* this run decides which of its >0
                points are news to the whole campaign *)
-            let before = Db.aggregate db in
+            let before = Db.aggregate t.db in
+            (* [add] syncs the handle under the lock: another process may
+               have appended runs since we last looked, and ids are
+               assigned in order *)
             let run =
-              Db.add db ~design:(str "design" "unknown")
+              Db.add t.db ~design:(str "design" "unknown")
                 ~backend:(str "backend" "external")
                 ~workload:(str "workload" "external")
                 ~seed:(int "seed" 0) ~cycles:(int "cycles" 0) (Ok counts)
             in
-            t.db <- db;
             Hashtbl.reset t.cache;
             let newly =
               List.fold_left
@@ -914,18 +917,17 @@ let post_run t (req : Http.request) : reply =
                   if c > 0 && Counts.get before name = 0 then acc + 1 else acc)
                 0 (Counts.to_sorted_list counts)
             in
-            let ok = Db.ok_runs db in
-            (* cumulative simulated units over every successful run, so a
-               delta subscriber can render an absolute aggregate
-               cycles/sec figure (waves x jobs x lanes) without replaying
-               the stream *)
-            let units = List.fold_left (fun acc (r : Db.run) -> acc + r.Db.cycles) 0 ok in
             ( run,
               newly,
-              Db.aggregate db,
-              List.length (Db.runs db),
-              List.length ok,
-              units )))
+              Db.aggregate t.db,
+              Db.run_count t.db,
+              Db.ok_count t.db,
+              (* cumulative simulated units over every successful run, so
+                 a delta subscriber can render an absolute aggregate
+                 cycles/sec figure (waves x jobs x lanes) without
+                 replaying the stream *)
+              Db.ok_cycles t.db,
+              Db.stamp t.db )))
   in
   touch_producer t worker (fun w ->
       w.w_runs <- w.w_runs + 1;
@@ -950,7 +952,7 @@ let post_run t (req : Http.request) : reply =
               ("runs", Json.Int nruns);
               ("ok", Json.Int nok);
               ("failed", Json.Int (nruns - nok));
-              ("stamp", Json.Int (Db.manifest_stamp t.db));
+              ("stamp", Json.Int stamp);
               ("workers", Json.Int (active_producers t));
               ("kinds", kinds_json agg);
             ]));
@@ -993,10 +995,15 @@ let post_heartbeat t (req : Http.request) : reply =
             ]));
   json 200 (Json.Obj [ ("ok", Json.Bool true) ])
 
+(* the stamp of the state the server last synced; taken before the
+   metrics lock, never inside it *)
+let db_stamp t = Mutex.protect t.db_m (fun () -> Db.stamp t.db)
+
 let metrics_json t : reply =
   let m = t.metrics in
   let subscribers = Mutex.protect t.hub.hm (fun () -> t.hub.subscribers) in
   let workers_active = active_producers t in
+  let stamp = db_stamp t in
   Mutex.protect m.mm (fun () ->
       let table to_key tbl =
         Hashtbl.fold (fun k v acc -> (to_key k, Json.Int v) :: acc) tbl []
@@ -1038,7 +1045,7 @@ let metrics_json t : reply =
                    ("dropped", Json.Int m.sse_dropped);
                  ] );
              ("workers_active", Json.Int workers_active);
-             ("db_stamp", Json.Int (Db.manifest_stamp t.db));
+             ("db_stamp", Json.Int stamp);
            ]))
 
 (* ------------------------------------------------------------------ *)
@@ -1060,6 +1067,7 @@ let prom_escape s =
 let metrics_prom t : reply =
   let subscribers = Mutex.protect t.hub.hm (fun () -> t.hub.subscribers) in
   let workers_active = active_producers t in
+  let stamp = db_stamp t in
   let m = t.metrics in
   let b = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -1114,8 +1122,8 @@ let metrics_prom t : reply =
       gauge "sic_sse_subscribers" "Currently connected /watch subscribers." subscribers;
       gauge "sic_workers_active" "Producers heard from within the liveness window."
         workers_active;
-      gauge "sic_db_manifest_stamp" "Database manifest stamp (manifest size in bytes)."
-        (Db.manifest_stamp t.db));
+      gauge "sic_db_stamp"
+        "Database stamp (committed manifest plus exclusions size in bytes)." stamp);
   {
     status = 200;
     content_type = "text/plain; version=0.0.4; charset=utf-8";

@@ -8,8 +8,9 @@
     one merged [GET /report]. Hand-rolled over [Unix] sockets in the
     repo's no-dependency style: bounded accept queue, fixed worker-thread
     pool, keep-alive with explicit [Content-Length] (never chunked), hard
-    parser limits, ETag/[If-None-Match] caching keyed on the database's
-    {!Sic_db.Db.manifest_stamp}, and graceful drain on SIGINT/SIGTERM.
+    parser limits, one live database handle synced per request,
+    ETag/[If-None-Match] caching keyed on the database's
+    {!Sic_db.Db.stamp}, and graceful drain on SIGINT/SIGTERM.
 
     Endpoints: [POST /runs], [POST /heartbeat], [GET /report],
     [GET /report.html], [GET /runs], [GET /rank], [GET /timelines],

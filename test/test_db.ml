@@ -192,6 +192,135 @@ let test_atomic_save () =
     && Counts.equal (Db.union_counts db')
          (Counts.of_list [ ("p1", 3); ("p2", 5); ("p3", 1); ("p4", 1) ]))
 
+let ids db = List.map (fun r -> r.Db.id) (Db.runs db)
+
+(* Two handles opened on one database both add a run. Each add syncs its
+   handle with the disk under the lock first, so the second handle sees
+   the first handle's run: distinct ids, both counts files kept, and an
+   aggregate over both. *)
+let test_stale_handles () =
+  let dir = fresh_dir "db_stale" in
+  ignore (Db.init dir);
+  let a = Db.load dir and b = Db.load dir in
+  let pa = [ ("p", 5); ("q", 0) ] and pb = [ ("p", 0); ("q", 7) ] in
+  let ra = add_ok a ~design:"d" ~backend:"compiled" pa in
+  let rb = add_ok b ~design:"d" ~backend:"compiled" ~seed:1 pb in
+  Alcotest.(check (list string)) "distinct ids" [ "r0001"; "r0002" ] [ ra.Db.id; rb.Db.id ];
+  let cnt id = Counts.load (Filename.concat dir (id ^ ".cnt")) in
+  Alcotest.(check bool) "first counts file intact" true (Counts.equal (cnt "r0001") (Counts.of_list pa));
+  Alcotest.(check bool) "second counts file intact" true
+    (Counts.equal (cnt "r0002") (Counts.of_list pb));
+  Alcotest.(check (list (pair string int))) "aggregate over both runs" [ ("p", 5); ("q", 7) ]
+    (Counts.to_sorted_list (Db.aggregate (Db.load dir)));
+  Db.sync a;
+  Alcotest.(check (list string)) "the first handle catches up" [ "r0001"; "r0002" ] (ids a);
+  Alcotest.(check int) "counters follow" 2 (Db.ok_count a)
+
+(* Random adds interleaved across two handles, each followed by a sync of
+   both: every handle's incremental union and the cached aggregate equal
+   a full merge over the ok runs a fresh load sees. *)
+let prop_two_handles =
+  let point = QCheck.Gen.(pair (oneofl [ "a"; "b"; "c"; "d" ]) (int_bound 9)) in
+  let step = QCheck.Gen.(triple bool (int_bound 5) (list_size (int_range 1 4) point)) in
+  QCheck.Test.make ~count:40 ~name:"two handles: union and aggregate follow the disk"
+    (QCheck.make
+       ~print:
+         QCheck.Print.(list (triple bool int (list (pair string int))))
+       QCheck.Gen.(list_size (int_range 1 8) step))
+    (fun steps ->
+      let dir = fresh_dir "db_prop" in
+      ignore (Db.init dir);
+      let a = Db.load dir and b = Db.load dir in
+      List.for_all
+        (fun (on_a, kind, points) ->
+          let h = if on_a then a else b in
+          (* one step in six records a failed run *)
+          ignore
+            (Db.add h ~design:"d" ~backend:"compiled" ~workload:"random" ~seed:kind
+               ~cycles:(kind + 1)
+               (if kind = 0 then Error "crashed" else Ok (Counts.of_list points)));
+          Db.sync a;
+          Db.sync b;
+          let fresh = Db.load dir in
+          let all = List.map (Db.load_counts fresh) (Db.ok_runs fresh) in
+          let union = Counts.union_max all and sum = Counts.merge all in
+          let expected_ids =
+            List.init (List.length (Db.runs fresh)) (fun i -> Printf.sprintf "r%04d" (i + 1))
+          in
+          let ids_ok = ids fresh = expected_ids && ids a = expected_ids && ids b = expected_ids in
+          let counters_ok =
+            List.for_all
+              (fun h ->
+                Db.run_count h = List.length (Db.runs fresh)
+                && Db.ok_count h = List.length (Db.ok_runs fresh)
+                && Db.ok_cycles h
+                   = List.fold_left (fun acc r -> acc + r.Db.cycles) 0 (Db.ok_runs fresh))
+              [ a; b ]
+          in
+          ids_ok && counters_ok
+          && Counts.equal (Db.union_counts a) union
+          && Counts.equal (Db.union_counts b) union
+          && Counts.equal (Db.aggregate fresh) sum)
+        steps)
+
+(* The union memo extends one counts file at a time: a file that fails to
+   load raises, and once it reads again the union is whole. *)
+let test_union_memo_recovers () =
+  let dir = fresh_dir "db_union" in
+  let db = Db.init dir in
+  ignore (add_ok db ~design:"d" ~backend:"compiled" [ ("a", 1) ]);
+  ignore (Db.union_counts db);
+  ignore (add_ok db ~design:"d" ~backend:"compiled" ~seed:1 [ ("b", 2) ]);
+  ignore (add_ok db ~design:"d" ~backend:"compiled" ~seed:2 [ ("c", 3) ]);
+  let r3 = Filename.concat dir "r0003.cnt" in
+  let good = In_channel.with_open_bin r3 In_channel.input_all in
+  Out_channel.with_open_bin r3 (fun oc -> output_string oc "nope c\n");
+  (match Db.union_counts db with
+  | _ -> Alcotest.fail "a corrupt counts file went unnoticed"
+  | exception Sic_coverage.Artifact.Error _ -> ());
+  Out_channel.with_open_bin r3 (fun oc -> output_string oc good);
+  Alcotest.(check (list (pair string int))) "the union is whole again"
+    [ ("a", 1); ("b", 2); ("c", 3) ]
+    (Counts.to_sorted_list (Db.union_counts db))
+
+(* The newline is a record's commit point. A torn last line, left by a
+   writer killed mid-append, is not a run: load ignores it, and the next
+   add cuts it before appending, so the manifest re-reads cleanly. *)
+let test_torn_tail () =
+  let dir = fresh_dir "db_torn" in
+  let db = Db.init dir in
+  ignore (add_ok db ~design:"d" ~backend:"compiled" [ ("p", 1) ]);
+  ignore (add_ok db ~design:"d" ~backend:"compiled" ~seed:1 [ ("q", 2) ]);
+  let manifest = Filename.concat dir "manifest.ndjson" in
+  let append path text =
+    Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path (fun oc ->
+        output_string oc text)
+  in
+  append manifest "{\"type\":\"run\",\"id\":\"r0003\",\"des";
+  let db' = Db.load dir in
+  Alcotest.(check (list string)) "load ignores the torn tail" [ "r0001"; "r0002" ] (ids db');
+  Db.sync db;
+  Alcotest.(check (list string)) "sync ignores it too" [ "r0001"; "r0002" ] (ids db);
+  let r = add_ok db' ~design:"d" ~backend:"compiled" ~seed:2 [ ("r", 3) ] in
+  Alcotest.(check string) "the next add takes the next id" "r0003" r.Db.id;
+  let reread = Db.load dir in
+  Alcotest.(check (list string)) "the manifest re-reads cleanly"
+    [ "r0001"; "r0002"; "r0003" ] (ids reread);
+  Alcotest.(check int) "the torn bytes are gone" 4
+    (List.length (In_channel.with_open_bin manifest In_channel.input_lines));
+  Alcotest.(check (list (pair string int))) "aggregate over the committed runs"
+    [ ("p", 1); ("q", 2); ("r", 3) ]
+    (Counts.to_sorted_list (Db.aggregate reread));
+  (* the exclusions file follows the same rule *)
+  let ex name = { Db.ex_name = name; ex_reason = "test"; ex_design = "d"; ex_wave = 0 } in
+  Db.add_exclusions reread [ ex "p" ];
+  append (Filename.concat dir "exclusions.ndjson") "{\"type\":\"exclusion\",\"na";
+  Alcotest.(check (list string)) "a torn exclusion is not read" [ "p" ]
+    (Db.excluded_names (Db.load dir));
+  Db.add_exclusions (Db.load dir) [ ex "q" ];
+  Alcotest.(check (list string)) "and the next append cuts it" [ "p"; "q" ]
+    (Db.excluded_names (Db.load dir))
+
 let tests =
   [
     Alcotest.test_case "manifest round-trip" `Quick test_round_trip;
@@ -200,4 +329,9 @@ let tests =
     Alcotest.test_case "run diff" `Quick test_diff;
     Alcotest.test_case "greedy rank" `Quick test_rank;
     Alcotest.test_case "atomic artifact save" `Quick test_atomic_save;
+    Alcotest.test_case "stale handles get distinct ids" `Quick test_stale_handles;
+    QCheck_alcotest.to_alcotest prop_two_handles;
+    Alcotest.test_case "union memo recovers from a bad counts file" `Quick
+      test_union_memo_recovers;
+    Alcotest.test_case "torn manifest tail is not committed" `Quick test_torn_tail;
   ]

@@ -264,6 +264,22 @@ let test_e2e_push_is_idempotent_for_report () =
         (Json.equal (Json.Obj (strip a)) (Json.Obj (strip b)))
   | _ -> Alcotest.fail "/report is not a JSON object"
 
+(* An exclusion with no new run (what [sic close] records for a wave
+   without witnesses) changes the database: the old ETag must miss, and
+   the fresh /report must count the exclusion. *)
+let test_e2e_exclusion_invalidates_report () =
+  with_server @@ fun dir t ->
+  ignore (push t ~seed:0 (Counts.of_list [ ("a", 1); ("b", 0) ]));
+  let r = Client.get (url t "/report") in
+  let excluded r = Json.int_member "points_excluded" (Json.parse r.Client.body) in
+  Alcotest.(check (option int)) "nothing excluded yet" (Some 0) (excluded r);
+  Db.add_exclusions (Db.load dir)
+    [ { Db.ex_name = "b"; ex_reason = "unreachable"; ex_design = "d"; ex_wave = 1 } ];
+  let etag = Option.get (Client.header r "etag") in
+  let r2 = Client.get ~headers:[ ("if-none-match", etag) ] (url t "/report") in
+  Alcotest.(check int) "the old etag misses" 200 r2.Client.status;
+  Alcotest.(check (option int)) "the exclusion is counted" (Some 1) (excluded r2)
+
 (* ---------------- SSE units ---------------- *)
 
 let test_sse_frame () =
@@ -479,6 +495,8 @@ let tests =
     Alcotest.test_case "e2e: client vanishing mid-request" `Quick test_e2e_client_vanishes;
     Alcotest.test_case "e2e: duplicate push is idempotent" `Quick
       test_e2e_push_is_idempotent_for_report;
+    Alcotest.test_case "e2e: an exclusion invalidates /report" `Quick
+      test_e2e_exclusion_invalidates_report;
     Alcotest.test_case "sse: frame encoder" `Quick test_sse_frame;
     Alcotest.test_case "sse: decoder" `Quick test_sse_decoder;
     Alcotest.test_case "sse: encode/decode round trip" `Quick test_sse_roundtrip;
